@@ -152,14 +152,14 @@ func (s *sioDev) GetInfo() com.DeviceInfo { return s.info }
 
 // Read implements com.Stream: blocking tty read through the donor path.
 func (s *sioDev) Read(buf []byte) (uint, error) {
-	restore := s.t.g.Enter("sioread")
+	_, restore := s.t.g.Enter("sioread")
 	defer restore()
 	return uint(s.t.read(buf)), nil
 }
 
 // Write implements com.Stream.
 func (s *sioDev) Write(buf []byte) (uint, error) {
-	restore := s.t.g.Enter("siowrite")
+	_, restore := s.t.g.Enter("siowrite")
 	defer restore()
 	n, err := s.t.write(buf)
 	if err != nil {

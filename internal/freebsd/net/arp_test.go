@@ -24,7 +24,7 @@ func TestARPRejectsMismatchedSender(t *testing.T) {
 	// Forge the poison frame: the link header still carries b's real
 	// station (the fabric addresses by it; the corruption faults never
 	// touch it), but the ARP payload claims the flipped MAC.
-	restore := a.g.Enter("forge")
+	_, restore := a.g.Enter("forge")
 	spl := a.g.Splnet()
 	m := a.MGetHdr()
 	if m == nil {

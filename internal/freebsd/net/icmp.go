@@ -69,7 +69,7 @@ func (s *Stack) icmpInput(m *Mbuf, src, dst IPAddr) {
 // or a timeout in slow-timer ticks of the clock; it returns the RTT in
 // clock ticks.
 func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64) (uint64, bool) {
-	restore := s.g.Enter("ping")
+	p, restore := s.g.Enter("ping")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
@@ -116,7 +116,7 @@ func (s *Stack) Ping(dst IPAddr, seq uint16, payload []byte, timeoutTicks uint64
 			s.mu.Unlock()
 			return 0, false // timed out (or superseded)
 		}
-		p := s.g.SleepPrepare(w.event, "ping")
+		s.g.SleepPrepare(p, w.event, "ping")
 		s.mu.Unlock()
 		s.g.SleepCommit(p)
 		s.mu.Lock()

@@ -192,7 +192,7 @@ func (s *Stack) udpLookupLinear(dst IPAddr, dport uint16, src IPAddr, sport uint
 // AddConnForBench attaches one established-looking TCP pcb with the
 // given 4-tuple — the population step of the E13 demux comparison.
 func AddConnForBench(s *Stack, laddr IPAddr, lport uint16, faddr IPAddr, fport uint16) {
-	restore := s.g.Enter("bench")
+	_, restore := s.g.Enter("bench")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
@@ -218,7 +218,7 @@ type BenchKey struct {
 
 // LookupForBench runs the hashed demux once (true on hit).
 func LookupForBench(s *Stack, dst IPAddr, dport uint16, src IPAddr, sport uint16) bool {
-	restore := s.g.Enter("bench")
+	_, restore := s.g.Enter("bench")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
@@ -229,7 +229,7 @@ func LookupForBench(s *Stack, dst IPAddr, dport uint16, src IPAddr, sport uint16
 
 // LookupLinearForBench runs the donor's linear demux once (true on hit).
 func LookupLinearForBench(s *Stack, dst IPAddr, dport uint16, src IPAddr, sport uint16) bool {
-	restore := s.g.Enter("bench")
+	_, restore := s.g.Enter("bench")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
@@ -243,7 +243,7 @@ func LookupLinearForBench(s *Stack, dst IPAddr, dport uint16, src IPAddr, sport 
 // amortize it — and returns the hit count.  linear selects the donor's
 // walk instead of the hash.
 func LookupBatchForBench(s *Stack, keys []BenchKey, linear bool) int {
-	restore := s.g.Enter("bench")
+	_, restore := s.g.Enter("bench")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
@@ -266,7 +266,7 @@ func LookupBatchForBench(s *Stack, keys []BenchKey, linear bool) int {
 
 // TCPPCBCountForTest reports how many TCP pcbs are attached.
 func TCPPCBCountForTest(s *Stack) int {
-	restore := s.g.Enter("pcbcount")
+	_, restore := s.g.Enter("pcbcount")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)

@@ -15,7 +15,7 @@ import (
 // withStack runs fn as a component entry (current process + splnet),
 // the way every real caller reaches the pcb internals.
 func withStack(s *Stack, fn func()) {
-	restore := s.g.Enter("test")
+	_, restore := s.g.Enter("test")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)

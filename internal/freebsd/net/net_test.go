@@ -250,7 +250,7 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("fragmentme!!"), 400) // 4800 bytes > MTU
 	done := make(chan []byte, 1)
 	go func() {
-		restoreB := b.g.Enter("rcv")
+		p, restoreB := b.g.Enter("rcv")
 		defer restoreB()
 		spl := b.g.Splnet()
 		defer b.g.Splx(spl)
@@ -262,7 +262,7 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 			return
 		}
 		buf := make([]byte, 8192)
-		n, _, _, err := b.udpRecv(pcb, buf)
+		n, _, _, err := b.udpRecv(p, pcb, buf)
 		b.mu.Unlock()
 		if err != nil {
 			done <- nil
@@ -272,7 +272,7 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 	}()
 	waitSettle()
 
-	restoreA := a.g.Enter("snd")
+	_, restoreA := a.g.Enter("snd")
 	spl := a.g.Splnet()
 	a.mu.Lock()
 	pcbA := a.udpNew()

@@ -95,7 +95,7 @@ func TestUDPBroadcast(t *testing.T) {
 	a, b := connectedStacks(t)
 	got := make(chan string, 1)
 	go func() {
-		restore := b.g.Enter("bcast-rcv")
+		p, restore := b.g.Enter("bcast-rcv")
 		defer restore()
 		spl := b.g.Splnet()
 		defer b.g.Splx(spl)
@@ -107,7 +107,7 @@ func TestUDPBroadcast(t *testing.T) {
 			return
 		}
 		buf := make([]byte, 64)
-		n, from, _, err := b.udpRecv(pcb, buf)
+		n, from, _, err := b.udpRecv(p, pcb, buf)
 		b.mu.Unlock()
 		if err != nil {
 			got <- "recv-fail"
@@ -121,7 +121,7 @@ func TestUDPBroadcast(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 
-	restore := a.g.Enter("bcast-snd")
+	_, restore := a.g.Enter("bcast-snd")
 	spl := a.g.Splnet()
 	a.mu.Lock()
 	pcb := a.udpNew()

@@ -1,6 +1,9 @@
 package bsdnet
 
-import "oskit/internal/com"
+import (
+	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
+)
 
 // The socket-side half of the zero-copy serving path (E15): SendFile
 // moves a file's bytes into a TCP connection.  When the stack's
@@ -25,7 +28,7 @@ const sendfileWindow = 8192
 
 // SendFile implements com.SockSendfile.
 func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
-	done := so.enter("sendfile")
+	p, done := so.enter("sendfile")
 	defer done()
 	if so.tcp == nil || f == nil {
 		return 0, com.ErrInval
@@ -49,7 +52,7 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 			win = sendfileWindow
 		}
 		if sf != nil {
-			n, err := so.sendfileZCWindow(sf, offset+total, win)
+			n, err := so.sendfileZCWindow(p, sf, offset+total, win)
 			total += n
 			if err == nil {
 				continue
@@ -60,7 +63,7 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 			// The file declined this range (hole, shrink race):
 			// fall through to the copy path for the window.
 		}
-		n, err := so.sendfileCopyWindow(f, offset+total, win)
+		n, err := so.sendfileCopyWindow(p, f, offset+total, win)
 		total += n
 		if err != nil {
 			return total, err
@@ -70,10 +73,12 @@ func (so *socket) SendFile(f com.File, offset, length uint64) (uint64, error) {
 }
 
 // sendfileZCWindow maps one window of the file as pinned pages and
-// appends them to the send buffer as external mbufs.  The component
-// call into the file system happens before the pcb lock is taken — the
-// file side sleeps in its own buffer cache under its own discipline.
-func (so *socket) sendfileZCWindow(sf com.Sendfile, offset, win uint64) (uint64, error) {
+// appends them to the send buffer as external mbufs, sleeping as p,
+// SendFile's process.  The component call into the file system happens
+// before the pcb lock is taken — the file side sleeps in its own buffer
+// cache under its own discipline.  Whatever that call left in the
+// uniprocessor glue's Curproc global, p is still this call's process.
+func (so *socket) sendfileZCWindow(p *bsdglue.Proc, sf com.Sendfile, offset, win uint64) (uint64, error) {
 	pin, err := sf.MapFileSG(offset, win)
 	if err != nil {
 		return 0, err
@@ -101,24 +106,15 @@ func (so *socket) sendfileZCWindow(sf com.Sendfile, offset, win uint64) (uint64,
 	head.PktLen = int(win)
 	so.s.sc.sfPagesMapped.Add(uint64(len(parts)))
 	so.s.sc.sfZCBytes.Add(win)
-
-	// Re-manufacture the current process before the socket-side phase:
-	// on a uniprocessor the glue's curproc is the donor's single global,
-	// and while this call waited inside the file component (the node
-	// lock opens across its sleeps) another process may have entered and
-	// slept inside *this* component, leaving curproc cleared (§4.7.5 is
-	// per-thread state only on SMP).
-	restore := so.s.g.Enter("sendfile")
-	defer restore()
-	if err := so.sendfileAppend(head, int(win)); err != nil {
+	if err := so.sendfileAppend(p, head, int(win)); err != nil {
 		return 0, err
 	}
 	return win, nil
 }
 
 // sendfileCopyWindow is the fallback: read one window through the
-// plain File interface and append it like Write would.
-func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, error) {
+// plain File interface and append it like Write would, sleeping as p.
+func (so *socket) sendfileCopyWindow(p *bsdglue.Proc, f com.File, offset, win uint64) (uint64, error) {
 	buf := make([]byte, win)
 	n, err := f.ReadAt(buf, offset)
 	if err != nil {
@@ -129,10 +125,6 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 	}
 	so.s.sc.sfBytesCopied.Add(uint64(n))
 
-	// Same curproc re-manufacture as the zero-copy window: ReadAt was a
-	// cross-component call whose sleeps open the node lock.
-	restore := so.s.g.Enter("sendfile")
-	defer restore()
 	tp := so.tcp
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -150,7 +142,7 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 		space := tp.sndBuf.space()
 		if space == 0 {
 			tp.armPersistIfNeeded()
-			p := so.s.g.SleepPrepare(tp.sndBuf.event, "sosend")
+			so.s.g.SleepPrepare(p, tp.sndBuf.event, "sosend")
 			tp.mu.Unlock()
 			so.s.g.SleepCommit(p)
 			tp.mu.Lock()
@@ -173,8 +165,8 @@ func (so *socket) sendfileCopyWindow(f com.File, offset, win uint64) (uint64, er
 // sendfileAppend blocks for enough send-buffer room, then links the
 // chain in whole (the window never exceeds the buffer limit, so the
 // wait always terminates as ACKs drain).  On connection failure the
-// chain is freed — which releases its page pins.
-func (so *socket) sendfileAppend(head *Mbuf, n int) error {
+// chain is freed — which releases its page pins.  It sleeps as p.
+func (so *socket) sendfileAppend(p *bsdglue.Proc, head *Mbuf, n int) error {
 	tp := so.tcp
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -194,7 +186,7 @@ func (so *socket) sendfileAppend(head *Mbuf, n int) error {
 			break
 		}
 		tp.armPersistIfNeeded()
-		p := so.s.g.SleepPrepare(tp.sndBuf.event, "sosend")
+		so.s.g.SleepPrepare(p, tp.sndBuf.event, "sosend")
 		tp.mu.Unlock()
 		so.s.g.SleepCommit(p)
 		tp.mu.Lock()

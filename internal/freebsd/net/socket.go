@@ -1,11 +1,14 @@
 package bsdnet
 
-import "oskit/internal/com"
+import (
+	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
+)
 
 // The socket layer: the COM Socket/SocketFactory exported by the stack
 // (§5).  Every method is a component entry point: it manufactures a
-// current process (§4.7.5), raises splnet, and blocks — if it must —
-// with a two-phase sleep on the pcb's events.
+// current process (§4.7.5), raises splnet, and blocks — if it must — as
+// that process, with a two-phase sleep on the pcb's events.
 //
 // SMP entry discipline (locks.go): Read and Write on an established TCP
 // socket take only the pcb lock — they are the scaling-critical paths
@@ -45,7 +48,7 @@ func (f *Factory) CreateSocket(domain, typ, protocol int) (com.Socket, error) {
 		return nil, com.ErrInval
 	}
 	s := f.s
-	restore := s.g.Enter("socket")
+	_, restore := s.g.Enter("socket")
 	defer restore()
 	spl := s.g.Splnet()
 	defer s.g.Splx(spl)
@@ -99,12 +102,12 @@ func (so *socket) QueryInterface(iid com.GUID) (com.IUnknown, error) {
 	return nil, com.ErrNoInterface
 }
 
-// enter is the standard component prologue; the returned func is the
-// epilogue.
-func (so *socket) enter(what string) func() {
-	restore := so.s.g.Enter(what)
+// enter is the standard component prologue: it returns the entry's
+// process, which every sleep in the call names, and the epilogue.
+func (so *socket) enter(what string) (*bsdglue.Proc, func()) {
+	p, restore := so.s.g.Enter(what)
 	spl := so.s.g.Splnet()
-	return func() {
+	return p, func() {
 		so.s.g.Splx(spl)
 		restore()
 	}
@@ -112,7 +115,7 @@ func (so *socket) enter(what string) func() {
 
 // Bind implements com.Socket.
 func (so *socket) Bind(addr com.SockAddr) error {
-	done := so.enter("bind")
+	_, done := so.enter("bind")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
@@ -130,7 +133,7 @@ func (so *socket) Bind(addr com.SockAddr) error {
 // Connect implements com.Socket: for TCP it blocks until the handshake
 // completes or fails.
 func (so *socket) Connect(addr com.SockAddr) error {
-	done := so.enter("connect")
+	p, done := so.enter("connect")
 	defer done()
 	s := so.s
 	s.mu.Lock()
@@ -173,7 +176,7 @@ func (so *socket) Connect(addr com.SockAddr) error {
 			s.mu.Unlock()
 			return com.ErrConnRef
 		}
-		p := s.g.SleepPrepare(tp.connEvent, "connec")
+		s.g.SleepPrepare(p, tp.connEvent, "connec")
 		s.mu.Unlock()
 		s.g.SleepCommit(p)
 		s.mu.Lock()
@@ -184,7 +187,7 @@ func (so *socket) Connect(addr com.SockAddr) error {
 
 // Listen implements com.Socket.
 func (so *socket) Listen(backlog int) error {
-	done := so.enter("listen")
+	_, done := so.enter("listen")
 	defer done()
 	if so.tcp == nil {
 		return com.ErrInval
@@ -198,7 +201,7 @@ func (so *socket) Listen(backlog int) error {
 
 // Accept implements com.Socket.
 func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
-	done := so.enter("accept")
+	p, done := so.enter("accept")
 	defer done()
 	tp := so.tcp
 	s := so.s
@@ -211,7 +214,7 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 		if so.closed || tp.state == tcpsClosed {
 			return nil, com.SockAddr{}, com.ErrBadF
 		}
-		p := s.g.SleepPrepare(tp.acceptEvent, "accept")
+		s.g.SleepPrepare(p, tp.acceptEvent, "accept")
 		s.mu.Unlock()
 		s.g.SleepCommit(p)
 		s.mu.Lock()
@@ -229,11 +232,11 @@ func (so *socket) Accept() (com.Socket, com.SockAddr, error) {
 // the scaling-critical entry, sharing nothing with the stack's global
 // state.
 func (so *socket) Read(buf []byte) (uint, error) {
-	done := so.enter("soread")
+	p, done := so.enter("soread")
 	defer done()
 	if so.udp != nil {
 		so.s.mu.Lock()
-		n, _, _, err := so.s.udpRecv(so.udp, buf)
+		n, _, _, err := so.s.udpRecv(p, so.udp, buf)
 		so.s.mu.Unlock()
 		return uint(n), err
 	}
@@ -262,7 +265,7 @@ func (so *socket) Read(buf []byte) (uint, error) {
 		if so.closed {
 			return 0, com.ErrBadF
 		}
-		p := so.s.g.SleepPrepare(tp.rcvBuf.event, "soread")
+		so.s.g.SleepPrepare(p, tp.rcvBuf.event, "soread")
 		tp.mu.Unlock()
 		so.s.g.SleepCommit(p)
 		tp.mu.Lock()
@@ -272,7 +275,7 @@ func (so *socket) Read(buf []byte) (uint, error) {
 // Write implements com.Socket, blocking for send-buffer space.  The TCP
 // path takes only the pcb lock, like Read.
 func (so *socket) Write(buf []byte) (uint, error) {
-	done := so.enter("sowrite")
+	p, done := so.enter("sowrite")
 	defer done()
 	if so.udp != nil {
 		so.s.mu.Lock()
@@ -301,7 +304,7 @@ func (so *socket) Write(buf []byte) (uint, error) {
 		space := tp.sndBuf.space()
 		if space == 0 {
 			tp.armPersistIfNeeded()
-			p := so.s.g.SleepPrepare(tp.sndBuf.event, "sowrite")
+			so.s.g.SleepPrepare(p, tp.sndBuf.event, "sowrite")
 			tp.mu.Unlock()
 			so.s.g.SleepCommit(p)
 			tp.mu.Lock()
@@ -320,17 +323,17 @@ func (so *socket) Write(buf []byte) (uint, error) {
 
 // RecvFrom implements com.Socket (datagram).
 func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
-	done := so.enter("recvfrom")
+	p, done := so.enter("recvfrom")
 	defer done()
 	if so.udp == nil {
-		n, err := so.readTCP(buf)
+		n, err := so.readTCP(p, buf)
 		so.tcp.mu.Lock()
 		a, _ := so.peerLocked() //oskit:allow guarded -- TCP branch: so.udp is nil here, so peerLocked's UDP-side read (which would need Stack.mu) is unreachable; the analyzer cannot correlate the two branches
 		so.tcp.mu.Unlock()
 		return n, a, err
 	}
 	so.s.mu.Lock()
-	n, from, port, err := so.s.udpRecv(so.udp, buf)
+	n, from, port, err := so.s.udpRecv(p, so.udp, buf)
 	so.s.mu.Unlock()
 	addr := com.SockAddr{Family: com.AFInet, Port: port}
 	copy(addr.Addr[:], from[:])
@@ -338,8 +341,8 @@ func (so *socket) RecvFrom(buf []byte) (uint, com.SockAddr, error) {
 }
 
 // readTCP is Read's body for the RecvFrom alias; takes the pcb lock
-// itself.
-func (so *socket) readTCP(buf []byte) (uint, error) {
+// itself and sleeps as p, the entry's process.
+func (so *socket) readTCP(p *bsdglue.Proc, buf []byte) (uint, error) {
 	tp := so.tcp
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -354,7 +357,7 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 		case tcpsCloseWait, tcpsClosing, tcpsLastAck, tcpsTimeWait, tcpsClosed:
 			return 0, nil
 		}
-		p := so.s.g.SleepPrepare(tp.rcvBuf.event, "soread")
+		so.s.g.SleepPrepare(p, tp.rcvBuf.event, "soread")
 		tp.mu.Unlock()
 		so.s.g.SleepCommit(p)
 		tp.mu.Lock()
@@ -363,7 +366,7 @@ func (so *socket) readTCP(buf []byte) (uint, error) {
 
 // SendTo implements com.Socket (datagram).
 func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
-	done := so.enter("sendto")
+	_, done := so.enter("sendto")
 	defer done()
 	if so.udp == nil {
 		return 0, com.ErrInval
@@ -380,7 +383,7 @@ func (so *socket) SendTo(buf []byte, to com.SockAddr) (uint, error) {
 
 // Shutdown implements com.Socket.
 func (so *socket) Shutdown(how int) error {
-	done := so.enter("shutdown")
+	_, done := so.enter("shutdown")
 	defer done()
 	tp := so.tcp
 	if tp == nil {
@@ -409,7 +412,7 @@ func (so *socket) Shutdown(how int) error {
 
 // GetSockName implements com.Socket.
 func (so *socket) GetSockName() (com.SockAddr, error) {
-	done := so.enter("getsockname")
+	_, done := so.enter("getsockname")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
@@ -426,7 +429,7 @@ func (so *socket) GetSockName() (com.SockAddr, error) {
 
 // GetPeerName implements com.Socket.
 func (so *socket) GetPeerName() (com.SockAddr, error) {
-	done := so.enter("getpeername")
+	_, done := so.enter("getpeername")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
@@ -452,7 +455,7 @@ func (so *socket) peerLocked() (com.SockAddr, error) {
 
 // SetSockOpt implements com.Socket.
 func (so *socket) SetSockOpt(name string, value int) error {
-	done := so.enter("setsockopt")
+	_, done := so.enter("setsockopt")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
@@ -492,7 +495,7 @@ func (so *socket) SetSockOpt(name string, value int) error {
 
 // GetSockOpt implements com.Socket.
 func (so *socket) GetSockOpt(name string) (int, error) {
-	done := so.enter("getsockopt")
+	_, done := so.enter("getsockopt")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()
@@ -527,7 +530,7 @@ func (so *socket) GetSockOpt(name string) (int, error) {
 
 // Close implements com.Socket: orderly TCP close, immediate UDP detach.
 func (so *socket) Close() error {
-	done := so.enter("soclose")
+	_, done := so.enter("soclose")
 	defer done()
 	so.s.mu.Lock()
 	defer so.s.mu.Unlock()

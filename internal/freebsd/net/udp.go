@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"oskit/internal/com"
+	bsdglue "oskit/internal/freebsd/glue"
 )
 
 // UDP: protocol control blocks, input demux, output.
@@ -155,13 +156,14 @@ func (s *Stack) udpOutput(pcb *udpPCB, data []byte, dst IPAddr, dport uint16) er
 
 // udpRecv blocks for one datagram (process level; enters at splnet with
 // the stack lock held).  The wait drops and retakes the stack lock in
-// the two-phase sleep so the receive interrupt can deliver.
-func (s *Stack) udpRecv(pcb *udpPCB, buf []byte) (int, IPAddr, uint16, error) {
+// the two-phase sleep, as p (the entry's process), so the receive
+// interrupt can deliver.
+func (s *Stack) udpRecv(p *bsdglue.Proc, pcb *udpPCB, buf []byte) (int, IPAddr, uint16, error) {
 	for len(pcb.rcv) == 0 {
 		if pcb.closed {
 			return 0, IPAddr{}, 0, com.ErrBadF
 		}
-		p := s.g.SleepPrepare(pcb.rcvEvent, "udprcv")
+		s.g.SleepPrepare(p, pcb.rcvEvent, "udprcv")
 		s.mu.Unlock()
 		s.g.SleepCommit(p)
 		s.mu.Lock()

@@ -7,10 +7,13 @@ import "sync/atomic"
 // Two flavours, because exactness and speed pull apart in this simulator:
 //
 //   - CurCPU is exact for interrupt dispatcher goroutines — it rides the
-//     same GoID-keyed dispIDs affinity map that InIntr uses — and falls
-//     back to a stable GoID hash for process-level goroutines.  It costs
-//     a runtime.Stack parse (microseconds), so it is for registration,
-//     drain verification, and tests, never for per-operation paths.
+//     same goroutine-id-keyed dispIDs affinity map that InIntr uses — and
+//     falls back to a stable hash of the goroutine id for process-level
+//     goroutines.  It costs a goid fetch (a runtime.Stack parse under the
+//     runtime's print lock: microseconds, serializing concurrent
+//     callers), so it is for registration, drain verification, and
+//     tests, never for per-operation paths.  GoIDFetches counts every
+//     fetch, so a test can pin a path to none.
 //
 //   - CPUHint is the per-operation shard key the magazine caches use.  A
 //     goroutine id is too expensive to fetch per allocation (measured

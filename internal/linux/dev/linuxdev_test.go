@@ -11,6 +11,7 @@ import (
 	"oskit/internal/dev"
 	"oskit/internal/hw"
 	"oskit/internal/kern"
+	"oskit/internal/linux/legacy"
 )
 
 // rig builds a machine with the requested NIC model(s) and a disk, booted
@@ -365,6 +366,50 @@ func TestCurrentManufacturedOnDemand(t *testing.T) {
 		t.Fatal("current leaked after restore")
 	}
 	_ = core.DefaultTickNanos
+}
+
+// TestSMPEntriesShareNoCurrent: on an SMP glue several CPUs are inside
+// the component at once, so entries publish no donor current-task
+// pointer.  Two threads enter at once and run sleep_on/wake_up cycles on
+// their own wait queues, sharing nothing but the glue (run under -race);
+// the donor global stays nil throughout.
+func TestSMPEntriesShareNoCurrent(t *testing.T) {
+	m := hw.NewMachine(hw.Config{MemBytes: 4 << 20, CPUs: 2})
+	defer m.Halt()
+	k, _ := kern.Setup(m, nil)
+	g := GlueFor(k.Env)
+	g.SetSMP(true)
+	var queues [2]legacy.WaitQueue
+	start := make(chan struct{})
+	errs := make(chan string, len(queues))
+	var wg sync.WaitGroup
+	for i := range queues {
+		wg.Add(1)
+		go func(q *legacy.WaitQueue) {
+			defer wg.Done()
+			<-start
+			for n := 0; n < 50; n++ {
+				restore := g.enter("smp-entry")
+				if g.kern.Current != nil {
+					errs <- "an SMP entry published a current task"
+				}
+				// The record remembers the wakeup, so the sleep
+				// returns at once: a binary-semaphore handoff.
+				g.kern.WakeUp(q)
+				g.kern.SleepOn(q)
+				restore()
+			}
+		}(&queues[i])
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if g.kern.Current != nil {
+		t.Fatalf("current = %+v after SMP entries", g.kern.Current)
+	}
 }
 
 // An injected kmalloc failure must look exactly like GFP exhaustion —

@@ -186,7 +186,7 @@ func (c *bcache) bread(blkno uint32) (*buf, error) {
 		// Re-manufacture it for the rest of the caller's component call
 		// — the entry epilogue still restores the true outer value.
 		n, err := c.dev.Read(b.data, uint64(blkno)*BlockSize)
-		_ = c.g.Enter("bread")
+		_, _ = c.g.Enter("bread")
 		if err != nil || n != BlockSize {
 			b.busy = false
 			c.lruPush(b)
@@ -219,7 +219,7 @@ func (c *bcache) writeback(b *buf) error {
 	// Same cross-component discipline as bread: the driver sleep may
 	// have let another thread clobber the UP glue's current process.
 	n, err := c.dev.Write(b.data, uint64(b.blkno)*BlockSize)
-	_ = c.g.Enter("bwrite")
+	_, _ = c.g.Enter("bwrite")
 	if err != nil || n != BlockSize {
 		return com.ErrIO
 	}

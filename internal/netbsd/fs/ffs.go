@@ -176,7 +176,7 @@ func (fs *FFS) enter(what string) func() {
 	if fs.concurrent {
 		fs.entryMu.Lock()
 	}
-	restore := fs.g.Enter(what)
+	_, restore := fs.g.Enter(what)
 	spl := fs.g.Splbio()
 	return func() {
 		fs.g.Splx(spl)

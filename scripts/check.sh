@@ -24,8 +24,8 @@ go run ./cmd/oskitcheck -timing -budget 30s ./...
 echo "== tier-1: test"
 go test ./...
 
-echo "== tier-1: race (net, stats, hw, faults, libc, linux drivers, kvm, smp, evalrig, com)"
-go test -race ./internal/freebsd/net/... ./internal/stats/... \
+echo "== tier-1: race (net, BSD glue, stats, hw, faults, libc, linux drivers, kvm, smp, evalrig, com)"
+go test -race ./internal/freebsd/net/... ./internal/freebsd/glue/... ./internal/stats/... \
 	./internal/hw/... ./internal/faults/... \
 	./internal/libc/... ./internal/linux/dev/... \
 	./internal/kvm/... ./internal/smp/... \
