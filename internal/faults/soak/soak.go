@@ -199,8 +199,12 @@ func Imbalances(n *evalrig.Node) []string {
 	var bad []string
 	checked := 0
 	for _, p := range AllocPairs() {
-		allocs, ok1 := n.Stat(p.Set, p.Alloc)
+		// Frees first: both counters only grow and a block's alloc is
+		// counted before anyone can free it, so frees(t1) <= allocs(t1)
+		// <= allocs(t2) even while traffic still runs.  Reading allocs
+		// first compares a later frees with an earlier allocs.
 		frees, ok2 := n.Stat(p.Set, p.Free)
+		allocs, ok1 := n.Stat(p.Set, p.Alloc)
 		if !ok1 || !ok2 {
 			continue
 		}

@@ -43,7 +43,10 @@ func TestRaceConnectChurn(t *testing.T) {
 			go func(cs com.Socket) {
 				buf := make([]byte, 64)
 				for {
-					if _, err := cs.Read(buf); err != nil {
+					// A zero-byte read is the orderly EOF: stop there,
+					// or this goroutine spins on Read until the process
+					// exits.
+					if n, err := cs.Read(buf); err != nil || n == 0 {
 						break
 					}
 				}

@@ -1,5 +1,7 @@
 package legacy
 
+import "sync/atomic"
+
 // sIDE: the kit's donor IDE disk driver, in the Linux request-queue
 // style: requests are started on the controller, the caller sleeps on the
 // request's wait queue, and the interrupt handler reaps completions and
@@ -22,8 +24,14 @@ type IDERequest struct {
 	Buf    []byte
 
 	Wait WaitQueue
-	Done bool
-	Err  error
+	Err  error // written by the completion handler before done is set
+	// done is set by the completion handler once Err is final.  On a
+	// uniprocessor glue cli orders it against the sleeper's test; on an
+	// SMP glue cli is a no-op and the handler runs on another CPU, so
+	// the flag is atomic — it is the one ordering point between the
+	// handler's writes (and the controller's DMA before them) and the
+	// sleeper's return.
+	done atomic.Bool
 }
 
 // IDEDisk is one probed drive.
@@ -82,7 +90,7 @@ func (d *IDEDisk) interrupt() {
 		}
 		r := tag.(*IDERequest)
 		r.Err = err
-		r.Done = true
+		r.done.Store(true)
 		d.Kern.WakeUp(&r.Wait)
 	}
 }
@@ -106,7 +114,7 @@ func (d *IDEDisk) DoRequest(r *IDERequest) error {
 	// completed-before-sleep window against the Done test.
 	flags := k.SaveFlags()
 	k.Cli()
-	for !r.Done {
+	for !r.done.Load() {
 		k.SleepOn(&r.Wait)
 	}
 	k.RestoreFlags(flags)
