@@ -323,14 +323,21 @@ func newNode(cfg Config, seg hw.Segment, unit byte, ip [4]byte, tick time.Durati
 		//   fdev_device_lookup(&fdev_ethernet_iid, &dev);
 		//   oskit_freebsd_net_open_ether_if(dev[0], &eif);
 		//   oskit_freebsd_net_ifconfig(eif, IPADDR, NETMASK);
-		if smp && opts.FastPath {
-			// Grow the controller to one RSS-hashed receive ring per
-			// CPU before the encapsulated driver opens it; the polled
-			// receive path then engages one drain loop per ring
-			// (linuxdev/rxpoll.go), and the donor allocator switches to
-			// its SMP lock.
-			nic.ConfigureRxQueues(cpus)
+		if smp {
+			// The SMP stack below sits on an SMP driver glue, whose
+			// donor allocator takes its own lock instead of the boot
+			// CPU's cli.  Over the uniprocessor glue, a writer holding
+			// a stack lock would wait in kmalloc for cli while the
+			// driver's interrupt handler, holding cli, waits in the
+			// receive upcall for that stack lock.
 			linuxdev.GlueFor(k.Env).SetSMP(true)
+			if opts.FastPath {
+				// Grow the controller to one RSS-hashed receive ring
+				// per CPU before the encapsulated driver opens it; the
+				// polled receive path then engages one drain loop per
+				// ring (linuxdev/rxpoll.go).
+				nic.ConfigureRxQueues(cpus)
+			}
 		}
 		fw := dev.NewFramework(k.Env)
 		linuxdev.InitEthernet(fw)

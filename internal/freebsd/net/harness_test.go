@@ -25,8 +25,12 @@ var (
 	nm  = IPAddr{255, 255, 255, 0}
 )
 
-// bootStack brings up one machine + driver + stack.
-func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip IPAddr) *Stack {
+// bootStack brings up one machine + driver + stack.  smp switches both
+// glues to the SMP discipline, the driver's before it is probed: an SMP
+// stack never sits over a uniprocessor driver glue, whose allocator
+// takes cli while the stack above holds a protocol lock and whose
+// interrupt handler holds cli while the receive upcall takes that lock.
+func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip IPAddr, smp bool) *Stack {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{Name: "net", MemBytes: 32 << 20})
 	t.Cleanup(m.Halt)
@@ -34,6 +38,9 @@ func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip
 	k, err := kern.Setup(m, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if smp {
+		linuxdev.GlueFor(k.Env).SetSMP(true)
 	}
 	fw := dev.NewFramework(k.Env)
 	linuxdev.InitEthernet(fw)
@@ -43,7 +50,9 @@ func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip
 	eths := fw.LookupByIID(com.EtherDevIID)
 	ed := eths[0].(com.EtherDev)
 
-	s := NewStack(bsdGlueFor(k))
+	g := bsdGlueFor(k)
+	g.SetSMP(smp)
+	s := NewStack(g)
 	t.Cleanup(s.Close)
 	if err := s.OpenEtherIf(ed); err != nil {
 		t.Fatal(err)
@@ -56,10 +65,12 @@ func bootStack(t *testing.T, wire *hw.EtherWire, mac byte, model hw.NICModel, ip
 	return s
 }
 
-func connectedStacks(t *testing.T) (*Stack, *Stack) {
+func connectedStacks(t *testing.T) (*Stack, *Stack) { return connectedPair(t, false) }
+
+func connectedPair(t *testing.T, smp bool) (*Stack, *Stack) {
 	wire := hw.NewEtherWire()
-	a := bootStack(t, wire, 1, hw.ModelNE2K, ipA)
-	b := bootStack(t, wire, 2, hw.Model3C59X, ipB)
+	a := bootStack(t, wire, 1, hw.ModelNE2K, ipA, smp)
+	b := bootStack(t, wire, 2, hw.Model3C59X, ipB, smp)
 	return a, b
 }
 

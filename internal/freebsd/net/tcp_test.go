@@ -152,8 +152,8 @@ func TestTCPRetransmissionUnderLoss(t *testing.T) {
 		t.Skip("loss test is slow")
 	}
 	wire := hw_NewEtherWireLossy(t, 0.08, 1234)
-	a := bootStack(t, wire, 1, modelNE2K(), ipA)
-	b := bootStack(t, wire, 2, model3C59X(), ipB)
+	a := bootStack(t, wire, 1, modelNE2K(), ipA, false)
+	b := bootStack(t, wire, 2, model3C59X(), ipB, false)
 
 	ls := sockOn(t, b)
 	if err := ls.Bind(addrOf(ipB, 7001)); err != nil {

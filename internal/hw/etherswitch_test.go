@@ -140,7 +140,13 @@ func TestSwitchBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	b.SetRxFaultHook(func() bool {
-		entered <- struct{}{}
+		// Non-blocking: once release is closed the drainer may run the
+		// hook for several queued frames before it is cleared, and a
+		// blocking send would stall it on the full channel for good.
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		<-release
 		return false
 	})
